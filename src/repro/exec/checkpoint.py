@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.errors import CheckpointError, SweepLockError
 from repro.fsio import (
@@ -289,10 +289,3 @@ class SweepCheckpoint:
             for cell_id, result in self._results.items()
             if result.status == "ok"
         }
-
-
-def prune_results(results: Dict[str, CellResult],
-                  wanted: Iterable[str]) -> Dict[str, CellResult]:
-    """Restrict loaded results to the cells a sweep actually contains."""
-    wanted_set = set(wanted)
-    return {k: v for k, v in results.items() if k in wanted_set}

@@ -1,20 +1,27 @@
 """Worker processes for the sweep executor.
 
 One worker is one forked process running :func:`_worker_main`: it
-receives cell specs over a private pipe, runs them, and reports on a
-queue shared with the supervisor.  A daemon heartbeat thread beats
-every ``heartbeat_interval`` seconds while a cell is in flight, so the
+receives cell specs over a private duplex pipe, runs them, and reports
+back over the same pipe.  A daemon heartbeat thread beats every
+``heartbeat_interval`` seconds while a cell is in flight, so the
 supervisor can tell a *slow* cell (beats arriving, deadline not yet
 passed) from a *frozen* worker (no beats: SIGSTOPped, deadlocked in C,
 or already dead) without waiting for the full cell timeout.
 
-Messages on the result queue (tuples, first element is the kind):
+The pipe is the worker's only channel and nobody else writes to it, so
+a SIGKILL can tear only the killed worker's own channel: there is no
+cross-process lock for a dying worker to take down with it.  Inside the
+worker a process-local lock serialises the main thread's and the
+heartbeat thread's sends; it dies with the process.
 
-- ``("ready", worker_id)`` — worker finished booting
-- ``("heartbeat", worker_id, cell_id)`` — still alive on this cell
-- ``("ok", worker_id, cell_id, payload, seconds)`` — cell done
-- ``("error", worker_id, cell_id, error_type, message, seconds)`` —
-  the cell callable raised; the worker itself is still healthy
+Messages on the pipe, worker to supervisor (tuples, first element is
+the kind; the connection itself names the sender):
+
+- ``("ready",)`` — worker finished booting
+- ``("heartbeat", cell_id)`` — still alive on this cell
+- ``("ok", cell_id, payload, seconds)`` — cell done
+- ``("error", cell_id, error_type, message, seconds)`` — the cell
+  callable raised; the worker itself is still healthy
 
 Workers never write checkpoints or records: the supervisor is the
 single writer, so crash-safety reasoning stays in one place.
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,7 +47,7 @@ HEARTBEAT_INTERVAL = 0.2
 _CTX = mp.get_context("fork")
 
 
-def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
+def _worker_main(worker_id: int, conn, heartbeat_interval: float,
                  trace_dir: Optional[str] = None) -> None:
     """Worker loop: recv spec, run, report; ``None`` means shut down.
 
@@ -52,23 +58,30 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
     """
     state = {"cell": None}
     stop = threading.Event()
+    send_lock = threading.Lock()
     writer = lane = None
     if trace_dir is not None:
         lane = worker_lane(os.getpid(), worker_id)
         writer = SpanWriter(worker_span_path(trace_dir, os.getpid(), worker_id))
     boot_wall = time.time()
 
+    def send(message: tuple) -> bool:
+        """Report to the supervisor; False once the pipe is gone."""
+        try:
+            with send_lock:
+                conn.send(message)
+            return True
+        except (BrokenPipeError, OSError):
+            return False  # supervisor is gone; the next recv ends us
+
     def beat() -> None:
         while not stop.wait(heartbeat_interval):
             cell_id = state["cell"]
-            if cell_id is not None:
-                try:
-                    results.put(("heartbeat", worker_id, cell_id))
-                except Exception:
-                    return  # queue torn down; supervisor is gone
+            if cell_id is not None and not send(("heartbeat", cell_id)):
+                return
 
     threading.Thread(target=beat, daemon=True).start()
-    results.put(("ready", worker_id))
+    send(("ready",))
     if writer is not None:
         writer.span(lane, "boot", "boot", boot_wall, time.time(),
                     worker=worker_id)
@@ -91,9 +104,8 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
         except KeyboardInterrupt:
             break
         except BaseException as error:  # report, stay alive for more cells
-            results.put((
-                "error", worker_id, cell_id,
-                type(error).__name__, str(error),
+            send((
+                "error", cell_id, type(error).__name__, str(error),
                 time.perf_counter() - started,
             ))
             if writer is not None:
@@ -104,10 +116,7 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
                     attempt=trace_meta.get("attempt"),
                 )
         else:
-            results.put((
-                "ok", worker_id, cell_id, payload,
-                time.perf_counter() - started,
-            ))
+            send(("ok", cell_id, payload, time.perf_counter() - started))
             if writer is not None:
                 writer.span(
                     lane, cell_id, "cell", run_wall, time.time(),
@@ -127,7 +136,7 @@ class WorkerHandle:
 
     worker_id: int
     process: mp.Process = None
-    conn: object = None  # parent end of the task pipe
+    conn: object = None  # parent end of the worker's duplex pipe
     #: In-flight cell spec (None when idle).
     cell: Optional[dict] = None
     #: Monotonic deadline for the in-flight cell (wall-clock timeout).
@@ -146,7 +155,6 @@ class WorkerHandle:
     #: beat may just be slow to boot, so it gets a grace period before
     #: stall detection applies.
     beats: int = 0
-    ready: bool = False
     retired: bool = field(default=False)
 
     @property
@@ -198,15 +206,15 @@ class WorkerHandle:
         self.retired = True
 
 
-def spawn_worker(worker_id: int, results,
+def spawn_worker(worker_id: int,
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  trace_dir: Optional[str] = None,
                  ) -> WorkerHandle:
-    """Fork one worker and return its handle (not yet marked ready)."""
+    """Fork one worker and return its handle."""
     parent_conn, child_conn = _CTX.Pipe()
     process = _CTX.Process(
         target=_worker_main,
-        args=(worker_id, child_conn, results, heartbeat_interval, trace_dir),
+        args=(worker_id, child_conn, heartbeat_interval, trace_dir),
         daemon=True,
         name=f"repro-sweep-worker-{worker_id}",
     )
@@ -217,22 +225,3 @@ def spawn_worker(worker_id: int, results,
         worker_id=worker_id, process=process, conn=parent_conn,
         last_beat=now, pid=process.pid or 0,
     )
-
-
-def make_result_queue():
-    """The shared worker->supervisor queue."""
-    return _CTX.Queue()
-
-
-def default_jobs() -> int:
-    """A conservative worker-count default: cores, capped at 8."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
-    return max(1, min(8, cores))
-
-
-def self_sigkill() -> None:  # pragma: no cover - used by failure tests
-    """Kill the current process the hard way (test helper)."""
-    os.kill(os.getpid(), signal.SIGKILL)

@@ -59,7 +59,6 @@ from repro.obs.metrics import (
     TimelineTotals,
     UtilizationTimeline,
 )
-from repro.obs.profiler import PhaseProfiler, phase, profiler, set_profiler
 from repro.obs.registry import (
     SCHEMA_VERSION,
     RunRecord,
@@ -113,7 +112,6 @@ __all__ = [
     "NodeSample",
     "ObservatoryModel",
     "PerfDiff",
-    "PhaseProfiler",
     "ProgressStream",
     "RobustStats",
     "RunRecord",
@@ -142,9 +140,7 @@ __all__ = [
     "median",
     "module_of",
     "perfdiff",
-    "phase",
     "profile_call",
-    "profiler",
     "read_progress",
     "render_history_page",
     "render_openmetrics",
@@ -154,7 +150,6 @@ __all__ = [
     "run_bench",
     "runs_dir_default",
     "scorecard",
-    "set_profiler",
     "sparkline",
     "sweep_records_to_chrome",
     "to_chrome_trace",

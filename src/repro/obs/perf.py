@@ -19,7 +19,7 @@ This module is the harness that fills the quarantined half *carefully*:
   noisy rep cannot fail CI.
 
 This is the only new module allowed to read the clock: it sits on the
-DET003 quarantine list next to the profiler, and everything it measures
+DET003 quarantine list next to the host profiler, and everything it measures
 stays inside ``timings``.  The aggregation/rendering layers
 (:mod:`repro.obs.observatory`, :mod:`repro.obs.dashboard`) stay
 clock-free.

@@ -135,6 +135,20 @@ class TestWorkerFailures:
         assert outcome.telemetry["timeouts"] >= 1
         assert outcome.results[cells[0].cell_id].metrics["value"] == 5.0
 
+    def test_timeout_kill_never_wedges_other_workers_reports(self, tmp_path):
+        # Heartbeats this frequent mean the timeout SIGKILL often lands
+        # mid-send; a kill must tear only the killed worker's channel,
+        # so each sweep times out exactly once and then completes.
+        for sweep in range(10):
+            cells = make_cells("hang_once_cell", count=1,
+                               tmp_path=tmp_path / str(sweep))
+            os.makedirs(tmp_path / str(sweep))
+            outcome = fast_executor(2, cell_timeout=0.5,
+                                    heartbeat_interval=0.0005).run(cells)
+            assert outcome.complete, outcome.render_quarantine()
+            assert outcome.telemetry["timeouts"] == 1
+            assert outcome.results[cells[0].cell_id].metrics["value"] == 5.0
+
     def test_frozen_worker_detected_by_missing_heartbeats(self, tmp_path):
         cells = make_cells("freeze_once_cell", count=1, tmp_path=tmp_path)
         # Generous cell timeout: only stall detection can catch this.

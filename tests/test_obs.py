@@ -1,4 +1,4 @@
-"""Observability tests: spans, telemetry, exporters, profiling hooks.
+"""Observability tests: spans, telemetry, exporters, timings.
 
 The pinned guarantees:
 
@@ -22,11 +22,8 @@ from repro.cluster.faults import FaultPlan, NodeCrash
 from repro.obs import (
     ClusterTelemetry,
     CounterRegistry,
-    PhaseProfiler,
     Tracer,
-    phase,
     render_trace_summary,
-    set_profiler,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -340,54 +337,6 @@ class TestCounterRegistry:
         assert registry.value("work.seconds") >= 0.0
         snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
-
-
-class TestProfiler:
-    def test_phase_noop_without_profiler(self):
-        assert set_profiler(None) is None
-        with phase("uarch.warmup"):
-            pass  # must not raise or record anywhere
-
-    def test_phase_records_when_installed(self):
-        profiler = PhaseProfiler()
-        previous = set_profiler(profiler)
-        try:
-            with phase("uarch.warmup"):
-                pass
-            with phase("uarch.measure"):
-                pass
-            with phase("uarch.measure"):
-                pass
-        finally:
-            set_profiler(previous)
-        assert profiler.calls("uarch.warmup") == 1
-        assert profiler.calls("uarch.measure") == 2
-        assert profiler.phases() == ["uarch.measure", "uarch.warmup"]
-        assert len(profiler.report_lines()) == 2
-
-    def test_sweep_phases_are_counted(self):
-        from repro.uarch.profile import CodeFootprint, CodeRegion
-        from repro.uarch.simulator import CacheSweepSimulator
-
-        profiler = PhaseProfiler()
-        previous = set_profiler(profiler)
-        try:
-            simulator = CacheSweepSimulator(
-                sizes_kb=(16, 32), trace_refs=2_000
-            )
-            footprint = CodeFootprint(
-                regions=[
-                    CodeRegion("hot", 16 * 1024, weight=0.7, sequentiality=6),
-                    CodeRegion("rest", 96 * 1024, weight=0.3, sequentiality=4),
-                ]
-            )
-            simulator.instruction_curve("probe", footprint)
-        finally:
-            set_profiler(previous)
-        assert profiler.calls("uarch.trace-gen") == 1
-        # One warmup + one measured run per swept size.
-        assert profiler.calls("uarch.warmup") == 2
-        assert profiler.calls("uarch.measure") == 2
 
 
 class TestExperimentTimings:
