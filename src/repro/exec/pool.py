@@ -23,6 +23,14 @@ the kind; the connection itself names the sender):
 - ``("error", cell_id, error_type, message, seconds)`` — the cell
   callable raised; the worker itself is still healthy
 
+A forked worker inherits a copy of every supervisor-side pipe end that
+is open at fork time: its own pipe's and those of the workers forked
+before it.  It closes them all first thing.  Otherwise a worker would
+hold its own pipe open from both ends, and its ``recv`` would never see
+EOF when a SIGKILLed supervisor's copies close: the worker would outlive
+the supervisor for good.  With them closed, an orphaned worker finishes
+the cell in hand, fails to report it, and exits.
+
 Workers never write checkpoints or records: the supervisor is the
 single writer, so crash-safety reasoning stays in one place.
 """
@@ -34,7 +42,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.exec.cells import run_cell
 from repro.exec.tracing import SpanWriter, worker_lane, worker_span_path
@@ -48,14 +56,20 @@ _CTX = mp.get_context("fork")
 
 
 def _worker_main(worker_id: int, conn, heartbeat_interval: float,
-                 trace_dir: Optional[str] = None) -> None:
+                 trace_dir: Optional[str] = None,
+                 supervisor_ends: Iterable = ()) -> None:
     """Worker loop: recv spec, run, report; ``None`` means shut down.
+
+    ``supervisor_ends`` are the supervisor-side pipe ends this fork
+    inherited; they are closed before anything else happens.
 
     When ``trace_dir`` is set the worker appends its own span file
     (boot span, one ``cell`` span per completed attempt).  Kills cannot
     be recorded from here — a SIGKILLed worker writes nothing — so the
     supervisor records killed attempts on this worker's lane instead.
     """
+    for end in supervisor_ends:
+        end.close()
     state = {"cell": None}
     stop = threading.Event()
     send_lock = threading.Lock()
@@ -209,12 +223,19 @@ class WorkerHandle:
 def spawn_worker(worker_id: int,
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  trace_dir: Optional[str] = None,
+                 siblings: Iterable[WorkerHandle] = (),
                  ) -> WorkerHandle:
-    """Fork one worker and return its handle."""
+    """Fork one worker and return its handle.
+
+    ``siblings`` are the supervisor's other live workers: the child
+    closes its inherited copies of their pipe ends, and of its own.
+    """
     parent_conn, child_conn = _CTX.Pipe()
+    supervisor_ends = [parent_conn] + [w.conn for w in siblings]
     process = _CTX.Process(
         target=_worker_main,
-        args=(worker_id, child_conn, heartbeat_interval, trace_dir),
+        args=(worker_id, child_conn, heartbeat_interval, trace_dir,
+              supervisor_ends),
         daemon=True,
         name=f"repro-sweep-worker-{worker_id}",
     )

@@ -319,6 +319,7 @@ class SweepExecutor:
             nonlocal next_id
             handle = spawn_worker(
                 next_id, self.heartbeat_interval, trace_dir=trace_dir,
+                siblings=list(workers.values()),
             )
             workers[handle.worker_id] = handle
             next_id += 1

@@ -8,6 +8,11 @@ serial, and checkpoint resume with byte-identical merges.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -170,6 +175,61 @@ class TestWorkerFailures:
         assert outcome.telemetry["degraded_serial"] == 1.0
         for cell in cells:
             assert outcome.results[cell.cell_id].metrics["value"] == 3.0
+
+
+#: A jobs-2 sweep of short slow cells that prints each worker's pid as
+#: it starts; run as its own process so the test can SIGKILL it.
+_SUPERVISOR_SCRIPT = textwrap.dedent("""
+    from repro.exec import SweepCell, SweepExecutor
+
+    def observe(event):
+        if event.get("event") == "worker-started":
+            print(event["pid"], flush=True)
+
+    cells = [
+        SweepCell(workload=f"w{i}", platform="e5645", scale=0.1, seed=i,
+                  fn="tests.test_exec_cells.slow_cell",
+                  extra=(("seconds", 0.2),))
+        for i in range(300)
+    ]
+    SweepExecutor(jobs=2, observer=observe).run(cells)
+""")
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_supervisor_is_sigkilled(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), root]))
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _SUPERVISOR_SCRIPT], cwd=root, env=env,
+            stdout=subprocess.PIPE, stdin=subprocess.DEVNULL,
+        )
+        try:
+            pids = [int(supervisor.stdout.readline()) for _ in range(2)]
+            time.sleep(0.5)  # both workers are mid-sweep
+        finally:
+            supervisor.kill()
+            supervisor.wait()
+            supervisor.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if _running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"workers outlived their supervisor: {orphans}"
 
 
 class TestCheckpointResume:
