@@ -1,10 +1,12 @@
 """Perf-counter collection: the 45-metric characterization of the paper.
 
-:func:`characterize` plays a workload's behaviour profile through the
-cache hierarchy, TLBs and branch predictor of a platform (with a warm-up
-phase, like the paper's 30-second ramp-up before sampling) and assembles
-a :class:`PerfCounters` sample.  :meth:`PerfCounters.metric_vector`
-serialises it into the 45-dimensional space used by WCRT for PCA and
+:func:`characterize` runs a workload's behaviour profile on a platform:
+it generates the fetch, data and branch streams, counts the first two on
+the cache hierarchy and TLBs (one exact stack-distance pass per
+structure) and replays the branches through the predictor, each after a
+warm-up phase like the paper's 30-second ramp-up before sampling.  It
+assembles a :class:`PerfCounters` sample.
+:meth:`PerfCounters.metric_vector` serialises it into the 45-dimensional space used by WCRT for PCA and
 K-means clustering (§3 of the paper).
 """
 
@@ -288,8 +290,8 @@ def characterize(
     """Characterize ``profile`` on ``platform``.
 
     Runs a warm-up phase (mirroring the paper's 30-second ramp-up before
-    sampling) followed by a measured phase through fresh cache, TLB and
-    branch-predictor simulators, then composes the measured event counts
+    sampling) followed by a measured phase on a fresh cache hierarchy,
+    TLBs and branch predictor, then composes the measured event counts
     into the 45-metric sample.
     """
     if sample_instructions <= 0:
@@ -325,47 +327,33 @@ def characterize(
     itlb = platform.make_itlb()
     dtlb = platform.make_dtlb()
 
-    fetch_list = fetch_trace.tolist()
-    data_list = data_trace.tolist()
-
     # --- Resident-region LLC pre-warm ------------------------------------
     # The paper samples after a 30-second ramp-up, by which time the code
     # and resident data state have long been pulled into the last-level
     # cache.  The sampled trace window is far too short to reproduce that
-    # history, so touch each resident line once in the LLC (streams stay
-    # cold: their misses are genuinely compulsory).
+    # history, so the LLC's stream starts with each resident line once
+    # (streams stay cold: their misses are genuinely compulsory).
+    llc_prewarm = None
     if hierarchy.l3 is not None:
-        llc = hierarchy.l3
-        budget = 2 * llc.config.num_sets * llc.config.ways
+        llc = hierarchy.l3.config
+        budget = 2 * llc.num_sets * llc.ways
         prewarm_ranges = list(code_line_ranges(profile.code))
         data_ranges = data_line_ranges(profile.data)
         prewarm_ranges.append(data_ranges["hot"])
         prewarm_ranges.append(data_ranges["state"])
-        for base, n_lines in prewarm_ranges:
-            for line in range(base, base + min(n_lines, budget)):
-                llc.access(line)
-        llc.reset_stats()
+        llc_prewarm = np.concatenate([
+            np.arange(base, base + min(n_lines, budget), dtype=np.int64)
+            for base, n_lines in prewarm_ranges
+        ])
 
-    # --- Warm-up phase --------------------------------------------------
-    for line in fetch_list[:n_fetch_warm]:
-        hierarchy.fetch(line)
-        itlb.access(line // LINES_PER_PAGE)
-    for line in data_list[:n_data_warm]:
-        hierarchy.load_store(line)
-        dtlb.access(line // LINES_PER_PAGE)
-    hierarchy.reset_stats()
-    itlb_warm_misses = itlb.misses
-    dtlb_warm_misses = dtlb.misses
-
-    # --- Measured phase -------------------------------------------------
-    for line in fetch_list[n_fetch_warm:]:
-        hierarchy.fetch(line)
-        itlb.access(line // LINES_PER_PAGE)
-    for line in data_list[n_data_warm:]:
-        hierarchy.load_store(line)
-        dtlb.access(line // LINES_PER_PAGE)
-    itlb_misses = itlb.misses - itlb_warm_misses
-    dtlb_misses = dtlb.misses - dtlb_warm_misses
+    # --- Warm-up and measured phases -------------------------------------
+    # Each structure counts only the measured references; the TLBs are
+    # never reset, so their own counters span both phases.
+    hierarchy.walk(
+        fetch_trace, data_trace, n_fetch_warm, n_data_warm, llc_prewarm
+    )
+    itlb_misses = itlb.walk(fetch_trace // LINES_PER_PAGE, n_fetch_warm)
+    dtlb_misses = dtlb.walk(data_trace // LINES_PER_PAGE, n_data_warm)
 
     # --- Branch predictor -----------------------------------------------
     predictor = platform.make_predictor()

@@ -30,9 +30,10 @@ LRU stack distances (Mattson et al. 1970):
   are re-tested.  A size whose set count is not such a multiple (in an
   unsorted or irregular size list) re-tests every reuse.
 
-The kernel's counts are integers equal to the scalar cache's, so the
-ratios are bit-identical; the scalar cache stays the oracle that the
-tests compare against, and the perf-counter pipeline still uses it.
+The kernel lives in :mod:`repro.uarch.cache`, where the perf-counter
+walk of ``characterize`` uses it too.  Its counts are integers equal to
+the scalar cache's, so the ratios are bit-identical; the scalar cache
+stays the oracle that the tests compare against.
 
 Workloads may be simulated in *segments* (the paper samples Hadoop
 executions at Map 0-1%, Map 50-51%, Map 99-100%, Reduce 0-1% and
@@ -47,111 +48,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.uarch.cache import CacheConfig
+from repro.uarch.cache import CacheConfig, lru_hits, reuse_links
+from repro.uarch.cache import stable_order  # noqa: F401  # repro: allow[IMP001] — re-export
 from repro.uarch.profile import CodeFootprint, DataFootprint
 from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 
 #: The paper's sweep points, in KB (Figures 6-9 x-axis).
 DEFAULT_SIZES_KB: Tuple[int, ...] = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
-
-#: Bound on the (references x offsets) block one scan step reads, so the
-#: kernel's scratch memory stays a few MB whatever the trace length.
-_SCAN_CELLS = 1 << 17
-
-
-def stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys, made fast.
-
-    numpy radix-sorts 16-bit keys but falls back to timsort for wider
-    ones, so the keys are sorted one 16-bit digit at a time, least
-    significant first (LSD radix sort): one pass for keys that span
-    fewer than 2**16 values, two for a 25-bit line-address span.
-    """
-    if not len(keys):
-        return np.zeros(0, dtype=np.intp)
-    rest = keys.astype(np.int64) - int(keys.min())
-    order = np.argsort(rest.astype(np.uint16), kind="stable")
-    rest >>= 16
-    while rest.any():
-        order = order[np.argsort(rest[order].astype(np.uint16), kind="stable")]
-        rest >>= 16
-    return order
-
-
-def reuse_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Previous and next use of each reference's line.
-
-    Returns two int32 arrays: ``prev[i]`` is the index of the last
-    earlier reference to ``lines[i]`` (-1 for a first use), ``nxt[i]``
-    the index of the next later one (``len(lines)`` for a last use).
-    """
-    n = len(lines)
-    order = stable_order(lines).astype(np.int32)
-    earlier, later = order[:-1], order[1:]
-    same = lines[earlier] == lines[later]
-    prev = np.full(n, -1, dtype=np.int32)
-    nxt = np.full(n, n, dtype=np.int32)
-    prev[later[same]] = earlier[same]
-    nxt[earlier[same]] = later[same]
-    return prev, nxt
-
-
-def lru_hits(
-    lines: np.ndarray,
-    prev: np.ndarray,
-    nxt: np.ndarray,
-    num_sets: int,
-    ways: int,
-    refs: np.ndarray,
-) -> np.ndarray:
-    """Which of ``refs`` hit in an LRU cache that starts empty.
-
-    The cache has ``num_sets`` sets of ``ways`` ways and sees all of
-    ``lines`` in order; ``prev``/``nxt`` come from :func:`reuse_links`,
-    and every index in ``refs`` must have a previous use.
-
-    Reference ``i`` hits exactly when fewer than ``ways`` distinct lines
-    of its set were touched between ``prev[i]`` and ``i``: its LRU
-    stack distance within the set (Mattson et al. 1970).  A stable sort
-    by set lays each set's references out in time order, so those
-    touches are the entries ranked between the two uses.  An entry is
-    its line's last touch before ``i`` exactly when its next use lies
-    beyond ``i``, so counting such entries counts distinct lines.  The
-    scan walks back from ``i`` in blocks of doubling width and stops at
-    the first ``ways`` of them.
-    """
-    if not len(refs):
-        return np.zeros(0, dtype=bool)
-    n = len(lines)
-    order = stable_order(lines % num_sets)
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    next_by_rank = nxt[order]
-
-    top = rank[refs]
-    floor = rank[prev[refs]]
-    hit = top - floor <= ways  # fewer than ``ways`` entries in between
-    live = np.flatnonzero(~hit)
-    top, floor, when = top[live], floor[live], refs[live]
-    seen = np.zeros(len(live), dtype=np.int32)
-    step = 2 * ways
-    while len(live):
-        width = max(1, min(_SCAN_CELLS // len(live), step))
-        step *= 2
-        below = top[:, None] - np.arange(1, width + 1, dtype=np.int32)
-        # Clamp to the previous use, whose next use is ``i`` itself and
-        # so never counts: offsets past the window add nothing.
-        np.maximum(below, floor[:, None], out=below)
-        seen += np.count_nonzero(next_by_rank[below] > when[:, None], axis=1)
-        full = seen >= ways
-        done = full | (top - width <= floor + 1)
-        hit[live[done & ~full]] = True
-        keep = ~done
-        live, top, floor, when, seen = (
-            live[keep], top[keep] - width, floor[keep], when[keep], seen[keep]
-        )
-    return hit
-
 
 @dataclass
 class SweepResult:

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.uarch.cache import CacheConfig, SetAssociativeCache
+import numpy as np
+
+from repro.uarch.cache import CacheConfig, SetAssociativeCache, lru_misses
 from repro.uarch.profile import LINE_BYTES, PAGE_BYTES
 
 #: Cache lines per page, used to convert line traces into page traces.
@@ -73,6 +75,24 @@ class Tlb:
     def run(self, pages: Iterable[int]) -> int:
         """Translate a page trace; returns the number of misses."""
         return self._cache.run(pages)
+
+    def walk(self, pages: np.ndarray, warm: int = 0) -> int:
+        """Translate ``pages`` on this fresh TLB in one stack-distance
+        pass; return the misses after the first ``warm`` pages.
+
+        The counters end as :meth:`run` leaves them.  A page equal to
+        the one before it is its set's MRU entry and hits, so such
+        repeats are dropped before the pass.  Only the counters are
+        kept, not the entries, so the TLB takes no further pages.
+        """
+        if not self._cache.fresh:
+            raise ValueError("walk needs a fresh TLB")
+        pages = np.asarray(pages, dtype=np.int64)
+        kept = np.flatnonzero(np.diff(pages, prepend=pages[:1] - 1))
+        missed = kept[lru_misses(pages[kept], self._cache.config)]
+        self._cache.misses = len(missed)
+        self._cache.hits = len(pages) - len(missed)
+        return int(np.count_nonzero(missed >= warm))
 
     def mpki(self, instructions: float) -> float:
         """Misses per kilo-instruction given a run length."""

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.uarch import ATOM_D510, XEON_E5645
 from repro.uarch.cache import CacheConfig, CacheHierarchy, SetAssociativeCache
+from repro.uarch.profile import CodeFootprint, CodeRegion, DataFootprint
+from repro.uarch.tlb import LINES_PER_PAGE, Tlb, TlbConfig
+from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 
 
 def make_cache(size_kb=4, ways=4):
@@ -176,3 +180,134 @@ class TestCacheHierarchy:
         hierarchy.load_store(5)
         assert hierarchy.data_fills["mem"] == 1
         assert len(hierarchy.stats()) == 3
+
+
+def scalar_walk(hierarchy, itlb, dtlb, fetch, data, fetch_warm, data_warm,
+                llc_prewarm):
+    """The per-reference replay that :meth:`CacheHierarchy.walk` and
+    :meth:`Tlb.walk` must equal; returns the measured TLB misses."""
+    if hierarchy.l3 is not None:
+        for line in llc_prewarm.tolist():
+            hierarchy.l3.access(line)
+        hierarchy.l3.reset_stats()
+    fetch, data = fetch.tolist(), data.tolist()
+    for line in fetch[:fetch_warm]:
+        hierarchy.fetch(line)
+        itlb.access(line // LINES_PER_PAGE)
+    for line in data[:data_warm]:
+        hierarchy.load_store(line)
+        dtlb.access(line // LINES_PER_PAGE)
+    hierarchy.reset_stats()
+    itlb_warm, dtlb_warm = itlb.misses, dtlb.misses
+    for line in fetch[fetch_warm:]:
+        hierarchy.fetch(line)
+        itlb.access(line // LINES_PER_PAGE)
+    for line in data[data_warm:]:
+        hierarchy.load_store(line)
+        dtlb.access(line // LINES_PER_PAGE)
+    return itlb.misses - itlb_warm, dtlb.misses - dtlb_warm
+
+
+def snapshot(hierarchy, itlb, dtlb, measured_tlb_misses):
+    return (
+        [(s.name, s.accesses, s.misses) for s in hierarchy.stats()],
+        dict(hierarchy.fetch_fills),
+        dict(hierarchy.data_fills),
+        hierarchy.offcore_accesses,
+        (itlb.accesses, itlb.misses, dtlb.accesses, dtlb.misses),
+        measured_tlb_misses,
+    )
+
+
+def repeated_trace(rng, length, universe, base):
+    """Random lines with long back-to-back runs of one line and
+    sequential bursts, so that pages repeat for hundreds of refs."""
+    lines = rng.integers(0, universe, size=length)
+    lines = np.repeat(lines, rng.integers(1, 40, size=length))[:length]
+    lines = lines + np.arange(length) % int(rng.integers(1, 9))
+    return (base + lines).astype(np.int64)
+
+
+class TestStructureWalk:
+    """The per-structure walk equals the scalar replay exactly (``==``)."""
+
+    def check(self, make, fetch, data, fetch_warm, data_warm, llc_prewarm):
+        walked = make()
+        hierarchy, itlb, dtlb = walked
+        hierarchy.walk(fetch, data, fetch_warm, data_warm, llc_prewarm)
+        measured = (itlb.walk(fetch // LINES_PER_PAGE, fetch_warm),
+                    dtlb.walk(data // LINES_PER_PAGE, data_warm))
+        oracle = make()
+        expected = scalar_walk(*oracle, fetch, data, fetch_warm, data_warm,
+                               llc_prewarm)
+        assert snapshot(*walked, measured) == snapshot(*oracle, expected)
+
+    @staticmethod
+    def warm_lengths(n):
+        return (0, n // 3, n)
+
+    @pytest.mark.parametrize("with_l3", [True, False])
+    def test_tiny_geometries_force_evictions(self, with_l3):
+        def make():
+            hierarchy = CacheHierarchy(
+                l1i=CacheConfig("L1I", 256, 2),
+                l1d=CacheConfig("L1D", 512, 4),
+                l2=CacheConfig("L2", 1024, 4),
+                l3=CacheConfig("L3", 2048, 4) if with_l3 else None,
+            )
+            return (hierarchy, Tlb(TlbConfig("ITLB", entries=4, ways=2)),
+                    Tlb(TlbConfig("DTLB", entries=8, ways=8)))
+
+        rng = np.random.default_rng(11)
+        for universe in (3, 40, 400, 5000):
+            fetch = repeated_trace(rng, 1500, universe, 0)
+            data = repeated_trace(rng, 1200, universe, 1 << 24)
+            # Pre-warm lines that the traces reuse, and some they don't.
+            llc_prewarm = np.concatenate([
+                data[::7], fetch[:50], np.arange(1 << 20, (1 << 20) + 64),
+            ])
+            for fetch_warm in self.warm_lengths(len(fetch)):
+                for data_warm in self.warm_lengths(len(data)):
+                    self.check(make, fetch, data, fetch_warm, data_warm,
+                               llc_prewarm)
+
+    @pytest.mark.parametrize("platform", [XEON_E5645, ATOM_D510],
+                             ids=lambda p: p.name)
+    def test_platform_geometries(self, platform):
+        def make():
+            return (platform.make_hierarchy(), platform.make_itlb(),
+                    platform.make_dtlb())
+
+        code = CodeFootprint([
+            CodeRegion("hot", 16 * 1024, weight=0.7, sequentiality=6),
+            CodeRegion("rest", 512 * 1024, weight=0.3, sequentiality=4),
+        ])
+        data_model = DataFootprint(
+            stream_bytes=2 * 1024 * 1024, state_bytes=1024 * 1024,
+            state_fraction=0.3, hot_bytes=16 * 1024, hot_fraction=0.6,
+        )
+        fetch = generate_fetch_trace(code, 6000, seed=5)
+        data = generate_data_trace(data_model, 5000, seed=6)
+        llc_prewarm = np.concatenate([fetch[1000:3000], data[::3]])
+        for fetch_warm, data_warm in ((0, 0), (4000, 1500), (6000, 5000)):
+            self.check(make, fetch, data, fetch_warm, data_warm, llc_prewarm)
+
+    def test_empty_traces(self):
+        def make():
+            return (XEON_E5645.make_hierarchy(), XEON_E5645.make_itlb(),
+                    XEON_E5645.make_dtlb())
+
+        empty = np.zeros(0, dtype=np.int64)
+        self.check(make, empty, np.array([7, 7, 8]), 0, 1, empty)
+
+    def test_walk_needs_fresh_structures(self):
+        hierarchy = XEON_E5645.make_hierarchy()
+        hierarchy.fetch(3)
+        hierarchy.reset_stats()
+        with pytest.raises(ValueError):
+            hierarchy.walk(np.array([1]), np.array([2]))
+        tlb = XEON_E5645.make_itlb()
+        tlb.access(1)
+        with pytest.raises(ValueError):
+            tlb.walk(np.array([1]))
+

@@ -284,6 +284,18 @@ class TestPerfGate:
         assert reloaded["budgets"]["toy"]["hot_functions"] == ["run"]
         assert reloaded["budgets"]["toy"]["note"] == "hand-written"
 
+    def test_update_budgets_keeps_targets_left_out(self, tmp_path):
+        registry = bench_into(tmp_path)
+        budgets = str(tmp_path / "budgets.json")
+        update_budgets(registry, budgets, targets=["toy"])
+        manifest = load_budgets(budgets)
+        manifest["budgets"]["other"] = dict(manifest["budgets"]["toy"])
+        with open(budgets, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        update_budgets(registry, budgets, targets=["toy"])
+        reloaded = load_budgets(budgets)
+        assert reloaded["budgets"]["other"] == manifest["budgets"]["other"]
+
 
 class TestBenchCli:
     def test_bench_records_and_perfdiff_round_trip(self, tmp_path, capsys):
