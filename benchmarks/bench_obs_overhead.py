@@ -14,32 +14,42 @@ import time
 
 from conftest import run_once
 
-from repro.exec import SweepTracer, merge_sweep_trace
+from repro.exec import (
+    SweepExecutor,
+    SweepTracer,
+    decompose,
+    merge_sweep_trace,
+)
+from repro.exec.supervisor import DEFAULT_CELL_TIMEOUT
 from repro.experiments import ExperimentContext, fig4_cache
 from repro.obs import ProgressStream, RunRegistry
 from repro.obs.perf import obs_overhead_record
+from repro.uarch import XEON_E5645, platform_key
 from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
 #: Smaller than BENCH_SCALE: this bench runs the experiment twice.
 OVERHEAD_SCALE = 0.2
 
 
-def _fig4_pairs(context):
+def _run_fig4(tracer=None, stream=None):
+    """Figure 4 from the counters of a two-worker executor run."""
     definitions = list(REPRESENTATIVE_WORKLOADS) + list(MPI_WORKLOADS)
-    return [(d.workload_id, context.xeon) for d in definitions]
-
-
-def _run_fig4(jobs, tracer=None, stream=None):
-    context = ExperimentContext(scale=OVERHEAD_SCALE, seed=0)
-    context.prime(
-        _fig4_pairs(context), jobs=jobs, tracer=tracer, observer=stream
+    cells = decompose(
+        [d.workload_id for d in definitions], [platform_key(XEON_E5645)],
+        OVERHEAD_SCALE, [0],
     )
+    executor = SweepExecutor(
+        jobs=2, cell_timeout=DEFAULT_CELL_TIMEOUT,
+        tracer=tracer, observer=stream,
+    )
+    context = ExperimentContext(scale=OVERHEAD_SCALE, seed=0)
+    context.adopt_cells(executor.run(cells).results)
     return fig4_cache.run(context)
 
 
 def test_tracing_overhead_and_bit_identity(benchmark, tmp_path):
     untraced_t0 = time.perf_counter()
-    untraced = _run_fig4(jobs=2)
+    untraced = _run_fig4()
     untraced_s = time.perf_counter() - untraced_t0
 
     # Mutable: filled during the benchmarked call, read at record time.
@@ -52,7 +62,7 @@ def test_tracing_overhead_and_bit_identity(benchmark, tmp_path):
             str(tmp_path / "progress.jsonl"), sweep="bench-overhead"
         )
         t0 = time.perf_counter()
-        result = _run_fig4(jobs=2, tracer=tracer, stream=stream)
+        result = _run_fig4(tracer=tracer, stream=stream)
         traced_s = time.perf_counter() - t0
         stream.close()
         tracer.close()

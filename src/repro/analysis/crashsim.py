@@ -41,26 +41,19 @@ from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.exec.cells import decompose
-from repro.exec.checkpoint import SweepCheckpoint, sweep_id
 from repro.exec.merge import merge_results
-from repro.exec.supervisor import SweepExecutor
-from repro.exec.tracing import SweepTracer
+from repro.exec.supervisor import run_sweep
 from repro.fsio import DEFAULT_FAULT_ERRNOS, FaultyIO, SimulatedCrash
 from repro.obs.fsck import fsck_repair, fsck_scan
-from repro.obs.registry import (
-    RunRecord,
-    RunRegistry,
-    build_provenance,
-    config_hash,
-)
-from repro.obs.stream import ProgressStream
+from repro.obs.registry import RunRecord, RunRegistry, build_provenance
+from repro.uarch.platforms import XEON_E5645, platform_key
 
 #: Dotted path of the campaign's cheap deterministic cell callable.
 PROBE_CELL_FN = "repro.analysis.crashsim.probe_cell"
 
 #: The default probe matrix: 3 workloads x 1 platform x 2 seeds.
 PROBE_WORKLOADS = ("wordcount", "grep", "sort")
-PROBE_PLATFORMS = ("e5645",)
+PROBE_PLATFORMS = (platform_key(XEON_E5645),)
 PROBE_SEEDS = 2
 
 #: Snapshot cadence for campaign checkpoints — low, so snapshot
@@ -201,31 +194,19 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
                       jobs: int, io=None, resume: bool = False) -> dict:
     """One full sweep through the storage tier under ``io``.
 
-    Exercises every writer fsck must understand: checkpoint manifest /
-    journal / snapshot / lock, progress stream, supervisor span file,
-    merged trace and a registry record.  Returns the merged metrics
-    plus the observability drop counters.
+    Runs through :func:`repro.exec.run_sweep`, the entry point every
+    sweep verb uses, and exercises every writer fsck must understand:
+    checkpoint manifest / journal / snapshot / lock, progress stream,
+    supervisor span file and a registry record.  (The merged Chrome
+    trace is a CLI step after the sweep and is not written here.)
+    Returns the merged metrics plus the observability drop counters.
     """
     cells = _probe_cells(scale, seed)
     config = _probe_config(scale, seed)
-    chash = config_hash(config)
-    key = sweep_id("crashsim", chash, seed)
-    checkpoint = SweepCheckpoint(
-        runs_dir, key, snapshot_every=PROBE_SNAPSHOT_EVERY, io=io,
+    outcome = run_sweep(
+        runs_dir, "crashsim", config, seed, cells, jobs=jobs, resume=resume,
+        io=io, snapshot_every=PROBE_SNAPSHOT_EVERY,
     )
-    checkpoint.initialise(
-        config_hash=chash, seed=seed, config=config, n_cells=len(cells),
-    )
-    tracer = SweepTracer(os.path.join(checkpoint.dir, "trace"), io=io)
-    stream = ProgressStream(
-        os.path.join(checkpoint.dir, "progress.jsonl"), sweep=key, io=io,
-    )
-    executor = SweepExecutor(jobs=jobs, tracer=tracer, observer=stream)
-    try:
-        outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
-    finally:
-        stream.close()
-        tracer.close()
     merged = merge_results(cells, outcome.results)
     registry = RunRegistry(runs_dir, io=io)
     registry.save(RunRecord(
@@ -238,9 +219,7 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
         ),
         timings={f"exec.{k}": v for k, v in outcome.telemetry.items()},
     ))
-    counters = dict(stream.telemetry())
-    counters.update(tracer.telemetry())
-    return {"merged": merged, "counters": counters}
+    return {"merged": merged, "counters": outcome.telemetry}
 
 
 def _diff_metrics(baseline: Dict[str, float],

@@ -69,7 +69,14 @@ from repro.obs.registry import (
     build_provenance,
     runs_dir_default,
 )
-from repro.uarch import ATOM_D510, XEON_E5645, characterize
+from repro.uarch import (
+    ATOM_D510,
+    PLATFORMS,
+    XEON_E5645,
+    characterize,
+    platform_by_key,
+    platform_key,
+)
 from repro.workloads import (
     ALL_WORKLOADS,
     MPI_WORKLOADS,
@@ -142,7 +149,7 @@ def _cmd_list(_args) -> int:
 
 def _cmd_run(args) -> int:
     definition = workload(args.workload)
-    platform = ATOM_D510 if args.platform == "d510" else XEON_E5645
+    platform = platform_by_key(args.platform)
     if not args.json:
         print(f"running {definition.workload_id} ({definition.description}) ...")
     cluster = None
@@ -266,111 +273,80 @@ def _print_timings(context: ExperimentContext) -> None:
             print(f"  {line}")
 
 
-def _sweep_observability(args, checkpoint_dir: str, sweep_key: str):
-    """Tracer + progress stream for one executor invocation.
+def _run_sweep(args, name: str, config: dict, cells, *,
+               quiet: bool = False):
+    """One verb's sweep through :func:`repro.exec.run_sweep`.
 
-    Tracing is on by default (``--no-trace`` disables): per-process
-    span files land in ``<checkpoint dir>/trace/`` and the progress
-    JSONL next to the journal.  The terminal status line engages when
-    ``--progress`` is given, or by default on a tty.  Both are pure
+    Tracing is on unless ``--no-trace``; the terminal status line
+    engages with ``--progress``, or by default on a tty.  Both are pure
     observers: the executor's results are bit-identical either way.
+    After the sweep the per-process span files are merged into one
+    Chrome trace, ``trace.json`` in the checkpoint directory.
     """
-    from repro.exec import SweepTracer
-    from repro.obs.stream import ProgressStream, TerminalRenderer
-
-    tracer = None
-    if not getattr(args, "no_trace", False):
-        tracer = SweepTracer(os.path.join(checkpoint_dir, "trace"))
-    progress = getattr(args, "progress", None)
-    want_line = progress if progress is not None else sys.stderr.isatty()
-    renderer = TerminalRenderer() if want_line else None
-    stream = ProgressStream(
-        os.path.join(checkpoint_dir, "progress.jsonl"),
-        sweep=sweep_key,
-        renderer=renderer,
-    )
-    return tracer, stream
-
-
-def _merge_observability(tracer, stream, checkpoint_dir: str,
-                         quiet: bool = False) -> str:
-    """Close the stream, merge span files into one Chrome trace."""
     from repro.errors import TraceMergeError
-    from repro.exec import merge_sweep_trace
+    from repro.exec import merge_sweep_trace, run_sweep
+    from repro.obs.stream import TerminalRenderer
 
-    stream.close()
-    if tracer is None:
-        return ""
-    tracer.close()
-    out = os.path.join(checkpoint_dir, "trace.json")
+    want_line = (
+        args.progress if args.progress is not None else sys.stderr.isatty()
+    )
+    outcome = run_sweep(
+        args.runs_dir, name, config, args.seed, cells,
+        jobs=args.jobs, cell_timeout=args.cell_timeout, resume=args.resume,
+        trace=not args.no_trace,
+        renderer=TerminalRenderer() if want_line else None,
+    )
+    if args.no_trace:
+        return outcome
+    out = os.path.join(outcome.sweep_dir, "trace.json")
     try:
-        n_events, n_flows = merge_sweep_trace(tracer.trace_dir, out)
+        n_events, n_flows = merge_sweep_trace(
+            os.path.join(outcome.sweep_dir, "trace"), out
+        )
     except TraceMergeError as error:
         print(f"warning: could not merge sweep trace: {error}",
               file=sys.stderr)
-        return ""
+        return outcome
     print(
         f"merged sweep trace: {n_events} event(s), {n_flows} retry "
         f"flow link(s) -> {out}",
         file=sys.stderr if quiet else sys.stdout,
     )
-    return out
-
-
-def _observability_telemetry(tracer, stream) -> dict:
-    """Writer drop counters from the sweep's observers.
-
-    These prove (or disprove) silent data loss: ``stream_*`` counts
-    progress events, ``trace_*`` counts supervisor-lane spans.  They
-    ride into the record's ``exec.*`` timings and surface via
-    ``repro metrics`` as ``repro_exec_telemetry``.
-    """
-    counters = dict(stream.telemetry())
-    if tracer is not None:
-        counters.update(tracer.telemetry())
-    return counters
+    return outcome
 
 
 def _prime_context(args, context: ExperimentContext, name: str,
-                   pairs) -> None:
+                   workload_ids, platforms) -> None:
     """Fan a verb's characterization cells out across worker processes.
 
-    Only engages for ``--jobs > 1`` (or ``--resume``); the primed
-    context is bit-identical to a serially filled one, and quarantined
-    cells silently fall back to in-process computation.
+    One cell per workload on each platform, platform by platform.  Only
+    engages for ``--jobs > 1`` (or ``--resume``); the adopted counters
+    are bit-identical to serially computed ones, and quarantined cells
+    silently fall back to in-process computation.
     """
-    jobs = getattr(args, "jobs", 1) or 1
-    resume = getattr(args, "resume", False)
-    if jobs <= 1 and not resume:
+    if args.jobs <= 1 and not args.resume:
         return
-    from repro.exec import SweepCheckpoint, sweep_id
-    from repro.obs.registry import config_hash
+    from repro.exec import decompose
 
+    cells = [
+        cell
+        for platform in platforms
+        for cell in decompose(
+            workload_ids, [platform_key(platform)], args.scale, [args.seed]
+        )
+    ]
     config = {
         "verb": name,
-        "pairs": sorted([w, p.name] for w, p in pairs),
+        "pairs": sorted(
+            [cell.workload, platform_by_key(cell.platform).name]
+            for cell in cells
+        ),
         "scale": args.scale,
         "seed": args.seed,
     }
-    chash = config_hash(config)
-    sweep_key = sweep_id(name, chash, args.seed)
-    checkpoint = SweepCheckpoint(args.runs_dir, sweep_key)
-    checkpoint.initialise(
-        config_hash=chash, seed=args.seed, config=config,
-        n_cells=len(pairs),
-    )
-    tracer, stream = _sweep_observability(args, checkpoint.dir, sweep_key)
-    outcome = context.prime(
-        pairs,
-        jobs=jobs,
-        cell_timeout=getattr(args, "cell_timeout", None),
-        checkpoint=checkpoint,
-        resume=resume,
-        tracer=tracer,
-        observer=stream,
-    )
-    _merge_observability(tracer, stream, checkpoint.dir)
-    for key, value in _observability_telemetry(tracer, stream).items():
+    outcome = _run_sweep(args, name, config, cells)
+    context.adopt_cells(outcome.results)
+    for key, value in outcome.telemetry.items():
         context.registry.add(f"exec.{key}", value)
     if outcome.quarantined:
         print(
@@ -381,19 +357,22 @@ def _prime_context(args, context: ExperimentContext, name: str,
         )
 
 
-def _fig_pairs(figure: str, context: ExperimentContext):
-    """The (workload, platform) cells a figure consumes."""
-    pairs = [(d.workload_id, context.xeon) for d in REPRESENTATIVE_WORKLOADS]
+_REPRESENTATIVES = [d.workload_id for d in REPRESENTATIVE_WORKLOADS]
+
+
+def _fig_workloads(figure: str):
+    """The workloads a figure plots, all on the Xeon."""
+    workload_ids = list(_REPRESENTATIVES)
     if figure != "2":  # every other figure also plots the MPI six
-        pairs += [(d.workload_id, context.xeon) for d in MPI_WORKLOADS]
-    return pairs
+        workload_ids += [d.workload_id for d in MPI_WORKLOADS]
+    return workload_ids
 
 
 def _cmd_fig(args) -> int:
     context = ExperimentContext(scale=args.scale, seed=args.seed)
     if args.figure == "locality":
         _prime_context(args, context, "fig-locality",
-                       _fig_pairs("locality", context))
+                       _fig_workloads("locality"), [XEON_E5645])
         with context.time_experiment("fig-locality"):
             result = fig6to9_locality.run(context)
         print(result.render())
@@ -407,7 +386,7 @@ def _cmd_fig(args) -> int:
               file=sys.stderr)
         return 2
     _prime_context(args, context, f"fig{args.figure}",
-                   _fig_pairs(args.figure, context))
+                   _fig_workloads(args.figure), [XEON_E5645])
     with context.time_experiment(f"fig-{args.figure}"):
         result = module.run(context)
     print(result.render())
@@ -430,53 +409,33 @@ def _cmd_table(args) -> int:
         print(f"unknown table {args.table!r}; choose 1, 2 or 4", file=sys.stderr)
         return 2
     context = ExperimentContext(scale=args.scale, seed=args.seed)
-    pairs = [(d.workload_id, context.xeon) for d in REPRESENTATIVE_WORKLOADS]
-    if args.table == "4":
-        pairs += [
-            (d.workload_id, context.atom) for d in REPRESENTATIVE_WORKLOADS
-        ]
-    _prime_context(args, context, f"table{args.table}", pairs)
+    platforms = [XEON_E5645, ATOM_D510] if args.table == "4" else [XEON_E5645]
+    _prime_context(args, context, f"table{args.table}", _REPRESENTATIVES,
+                   platforms)
     with context.time_experiment(f"table-{args.table}"):
         result = module.run(context)
     print(result.render())
     _print_timings(context)
-    platforms = (
-        [XEON_E5645.name, ATOM_D510.name] if args.table == "4" else None
-    )
     _record_experiment(args, context, f"table{args.table}", result,
-                       kind="table", platforms=platforms)
+                       kind="table", platforms=[p.name for p in platforms])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     """The supervised parallel sweep over workload x platform x seed."""
     from repro.errors import InvalidParameterError
-    from repro.exec import (
-        SweepCheckpoint,
-        SweepExecutor,
-        decompose,
-        merge_results,
-        sweep_id,
-        telemetry_lines,
-    )
-    from repro.exec.cells import PLATFORM_KEYS, platform_for
-    from repro.obs.registry import config_hash
+    from repro.exec import decompose, merge_results, telemetry_lines
 
     if args.workloads:
         workload_ids = [w.strip() for w in args.workloads.split(",") if w.strip()]
     else:
-        workload_ids = [d.workload_id for d in REPRESENTATIVE_WORKLOADS]
+        workload_ids = list(_REPRESENTATIVES)
     for workload_id in workload_ids:
         workload(workload_id)  # typed UnknownWorkloadError before any work
     platforms = [p.strip() for p in args.platforms.split(",") if p.strip()]
     if not platforms:
         raise InvalidParameterError("--platforms must name at least one platform")
-    for key in platforms:
-        if key not in PLATFORM_KEYS:
-            raise InvalidParameterError(
-                f"unknown platform {key!r}; choose from "
-                f"{', '.join(PLATFORM_KEYS)}"
-            )
+    platform_names = [platform_by_key(key).name for key in platforms]
     seeds = list(range(args.seed, args.seed + args.seeds))
     cells = decompose(workload_ids, platforms, args.scale, seeds)
 
@@ -486,25 +445,8 @@ def _cmd_sweep(args) -> int:
         "scale": args.scale,
         "seeds": seeds,
     }
-    chash = config_hash(config)
-    name = args.name or "sweep"
-    sweep_key = sweep_id(name, chash, args.seed)
-    checkpoint = SweepCheckpoint(args.runs_dir, sweep_key)
-    if args.resume and not checkpoint.exists():
-        print(f"no checkpoint for this sweep config yet; starting fresh",
-              file=sys.stderr)
-    checkpoint.initialise(
-        config_hash=chash, seed=args.seed, config=config,
-        n_cells=len(cells),
-    )
-    tracer, stream = _sweep_observability(args, checkpoint.dir, sweep_key)
-    executor = SweepExecutor(
-        jobs=args.jobs, cell_timeout=args.cell_timeout,
-        tracer=tracer, observer=stream,
-    )
-    outcome = executor.run(cells, checkpoint=checkpoint, resume=args.resume)
-    _merge_observability(tracer, stream, checkpoint.dir, quiet=args.json)
-    outcome.telemetry.update(_observability_telemetry(tracer, stream))
+    outcome = _run_sweep(args, args.name or "sweep", config, cells,
+                         quiet=args.json)
 
     if outcome.quarantined:
         print(
@@ -527,7 +469,7 @@ def _cmd_sweep(args) -> int:
             experiment=experiment,
             seed=args.seed,
             scale=args.scale,
-            platforms=[platform_for(key).name for key in platforms],
+            platforms=platform_names,
             config=config,
         ),
         timings={f"exec.{k}": v for k, v in outcome.telemetry.items()},
@@ -557,7 +499,7 @@ def _cmd_profile(args) -> int:
     from repro.obs.hostprof import profile_call
 
     definition = workload(args.workload)
-    platform = ATOM_D510 if args.platform == "d510" else XEON_E5645
+    platform = platform_by_key(args.platform)
     context = ExperimentContext(scale=args.scale, seed=args.seed)
     if not args.json:
         print(
@@ -1016,12 +958,12 @@ def _cmd_perfdiff(args) -> int:
     if args.warn_only and result.exit_code != 0:
         # CI annotation format; the gate reports but does not fail
         # until enough baselines exist to trust the intervals.
-        for verdict in result.regressions:
+        for verdict in result.failures:
             print(
-                f"::warning title=perf regression ({verdict.target})::"
+                f"::warning title=perf {verdict.status} ({verdict.target})::"
                 f"{verdict.detail}"
             )
-        print("perfdiff: regressions found, but --warn-only is set (exit 0)")
+        print("perfdiff: the gate failed, but --warn-only is set (exit 0)")
         return 0
     return result.exit_code
 
@@ -1092,8 +1034,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run one workload")
     run_parser.add_argument("workload", help="workload id, e.g. S-WordCount")
-    run_parser.add_argument("--platform", choices=("e5645", "d510"),
-                            default="e5645")
+    run_parser.add_argument("--platform", choices=tuple(PLATFORMS),
+                            default=platform_key(XEON_E5645))
     run_parser.add_argument(
         "--seed", type=int, default=0,
         help="workload + characterization seed (default 0)",
@@ -1179,8 +1121,9 @@ def build_parser() -> argparse.ArgumentParser:
              "representatives)",
     )
     sweep_parser.add_argument(
-        "--platforms", default="e5645", metavar="P,Q",
-        help="comma-separated platforms: e5645, d510 (default e5645)",
+        "--platforms", default=platform_key(XEON_E5645), metavar="P,Q",
+        help=f"comma-separated platforms: {', '.join(PLATFORMS)} "
+             f"(default {platform_key(XEON_E5645)})",
     )
     sweep_parser.add_argument(
         "--seed", type=int, default=0,
@@ -1208,7 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="workload id, e.g. S-WordCount"
     )
     profile_parser.add_argument(
-        "--platform", choices=("e5645", "d510"), default="e5645"
+        "--platform", choices=tuple(PLATFORMS),
+        default=platform_key(XEON_E5645),
     )
     profile_parser.add_argument(
         "--seed", type=int, default=0,
@@ -1483,7 +1427,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perfdiff_parser.add_argument(
         "--warn-only", action="store_true",
-        help="report regressions as CI warning annotations but exit 0",
+        help="report gate failures as CI warning annotations but exit 0",
     )
     perfdiff_parser.add_argument(
         "--update-budgets", action="store_true",

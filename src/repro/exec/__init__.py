@@ -7,7 +7,8 @@ retry, poison-cell quarantine and serial degradation
 (:mod:`~repro.exec.supervisor` / :mod:`~repro.exec.pool`), journals
 progress crash-safely for ``--resume`` (:mod:`~repro.exec.checkpoint`),
 and merges cells back into one record only after provenance-hash
-validation (:mod:`~repro.exec.merge`).
+validation (:mod:`~repro.exec.merge`).  :func:`run_sweep` is the one
+entry point that sets all of this up for a caller.
 """
 
 from repro.exec.cells import (  # noqa: F401
@@ -15,7 +16,6 @@ from repro.exec.cells import (  # noqa: F401
     CellResult,
     SweepCell,
     decompose,
-    platform_for,
     provenance_hash,
 )
 from repro.exec.checkpoint import (  # noqa: F401
@@ -31,6 +31,7 @@ from repro.exec.merge import (  # noqa: F401
 from repro.exec.supervisor import (  # noqa: F401
     SweepExecutor,
     SweepOutcome,
+    run_sweep,
 )
 from repro.exec.tracing import (  # noqa: F401
     SpanWriter,
@@ -53,9 +54,9 @@ __all__ = [
     "decompose",
     "merge_results",
     "merge_sweep_trace",
-    "platform_for",
     "provenance_hash",
     "read_span_records",
+    "run_sweep",
     "sweep_id",
     "telemetry_lines",
     "validate_cell",

@@ -28,16 +28,13 @@ from typing import Dict, List, Optional, Sequence
 #: Dotted path of the default cell callable.
 DEFAULT_CELL_FN = "repro.exec.cells.characterize_cell"
 
-#: Short CLI platform keys -> full platform names (see repro.uarch.platforms).
-PLATFORM_KEYS = ("e5645", "d510")
-
 
 @dataclass(frozen=True)
 class SweepCell:
     """One schedulable unit: a seeded (workload, platform) point."""
 
     workload: str
-    platform: str  # short key: "e5645" | "d510"
+    platform: str  # short key of repro.uarch.platforms.PLATFORMS
     scale: float
     seed: int
     fn: str = DEFAULT_CELL_FN
@@ -178,20 +175,6 @@ def _hashable_spec(spec: dict) -> dict:
     }
 
 
-def platform_for(key: str):
-    """Map a short platform key to its :class:`Platform`."""
-    from repro.uarch.platforms import ATOM_D510, XEON_E5645
-
-    try:
-        return {"e5645": XEON_E5645, "d510": ATOM_D510}[key]
-    except KeyError:
-        from repro.errors import InvalidParameterError
-
-        raise InvalidParameterError(
-            f"unknown platform {key!r}; choose from {', '.join(PLATFORM_KEYS)}"
-        ) from None
-
-
 def characterize_cell(spec: dict) -> dict:
     """The default cell: run + characterize one workload on one platform.
 
@@ -201,11 +184,14 @@ def characterize_cell(spec: dict) -> dict:
     counter sample for cache adoption.
     """
     from repro.experiments.runner import ExperimentContext
+    from repro.uarch.platforms import platform_by_key
 
     context = ExperimentContext(
         scale=float(spec["scale"]), seed=int(spec["seed"])
     )
-    counters = context.counters(spec["workload"], platform_for(spec["platform"]))
+    counters = context.counters(
+        spec["workload"], platform_by_key(spec["platform"])
+    )
     return {
         "metrics": counters.metric_dict(),
         "counters": counters.to_dict(),

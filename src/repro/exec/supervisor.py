@@ -40,10 +40,16 @@ Observability (both default off, both strictly passive):
   ``quarantined``, ``worker-started``/``lost``, ``degraded-serial``,
   ``sweep-finished``).  Observer exceptions are swallowed: telemetry
   must never fail a sweep.
+
+The sweep verbs never build an executor themselves: :func:`run_sweep`
+sets up the checkpoint, both observers and the executor for all of
+them.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,12 +57,13 @@ from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence
 
 from repro.exec.cells import CellResult, SweepCell, run_cell
-from repro.exec.checkpoint import SweepCheckpoint
+from repro.exec.checkpoint import SNAPSHOT_EVERY, SweepCheckpoint, sweep_id
 from repro.exec.pool import (
     HEARTBEAT_INTERVAL,
     WorkerHandle,
     spawn_worker,
 )
+from repro.exec.tracing import SweepTracer
 
 #: Default per-cell wall-clock timeout (seconds).
 DEFAULT_CELL_TIMEOUT = 300.0
@@ -83,6 +90,8 @@ class SweepOutcome:
     results: Dict[str, CellResult] = field(default_factory=dict)
     quarantined: Dict[str, CellResult] = field(default_factory=dict)
     telemetry: Dict[str, float] = field(default_factory=dict)
+    #: The checkpoint directory, when the sweep ran through run_sweep.
+    sweep_dir: str = ""
 
     @property
     def complete(self) -> bool:
@@ -634,3 +643,69 @@ class SweepExecutor:
             "done": len(outcome.results),
             "total": int(outcome.telemetry.get("cells_total", 0.0)),
         })
+
+
+def run_sweep(
+    runs_dir: str,
+    name: str,
+    config: dict,
+    seed: int,
+    cells: Sequence[SweepCell],
+    *,
+    jobs: int = 1,
+    cell_timeout: Optional[float] = None,
+    resume: bool = False,
+    trace: bool = True,
+    renderer=None,
+    io=None,
+    snapshot_every: int = SNAPSHOT_EVERY,
+) -> SweepOutcome:
+    """Run ``cells`` as one checkpointed, observed sweep.
+
+    The single entry point of every sweep verb (``repro sweep``, the
+    fig/table ``--jobs`` path, ``repro crashsim``).  The checkpoint
+    lives at ``<runs_dir>/sweeps/<name>-<config hash>-s<seed>/``, so a
+    repeat of the same request finds it for ``resume``.  The span files
+    (unless ``trace`` is off) land in its ``trace/`` directory and the
+    progress stream beside the journal; both observers are closed
+    before this returns, even when the sweep raises, and their
+    write/drop counters are folded into ``outcome.telemetry``.  A
+    missing ``cell_timeout`` means :data:`DEFAULT_CELL_TIMEOUT`.
+    """
+    from repro.obs.registry import config_hash
+    from repro.obs.stream import ProgressStream
+
+    chash = config_hash(config)
+    key = sweep_id(name, chash, seed)
+    checkpoint = SweepCheckpoint(
+        runs_dir, key, snapshot_every=snapshot_every, io=io,
+    )
+    if resume and not checkpoint.exists():
+        print("no checkpoint for this sweep config yet; starting fresh",
+              file=sys.stderr)
+    checkpoint.initialise(
+        config_hash=chash, seed=seed, config=config, n_cells=len(cells),
+    )
+    tracer = (
+        SweepTracer(os.path.join(checkpoint.dir, "trace"), io=io)
+        if trace else None
+    )
+    stream = ProgressStream(
+        os.path.join(checkpoint.dir, "progress.jsonl"),
+        sweep=key, renderer=renderer, io=io,
+    )
+    executor = SweepExecutor(
+        jobs=jobs, cell_timeout=cell_timeout or DEFAULT_CELL_TIMEOUT,
+        tracer=tracer, observer=stream,
+    )
+    try:
+        outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
+    finally:
+        stream.close()
+        if tracer is not None:
+            tracer.close()
+    outcome.sweep_dir = checkpoint.dir
+    outcome.telemetry.update(stream.telemetry())
+    if tracer is not None:
+        outcome.telemetry.update(tracer.telemetry())
+    return outcome

@@ -153,86 +153,21 @@ class ExperimentContext:
     def xeon(self) -> Platform:
         return XEON_E5645
 
-    # ---- cell decomposition (parallel sweeps) -----------------------------
-    # A session's expensive substrate is the per-(workload, platform)
-    # characterization; each is an independent seeded cell the
-    # repro.exec executor can run in another process and hand back as a
-    # lossless PerfCounters payload for the cache below.
-    def counter_cells(self, pairs) -> list:
-        """Sweep cells for the (workload_id, platform) pairs not cached."""
-        from repro.exec.cells import SweepCell
-
-        platform_keys = {XEON_E5645.name: "e5645", ATOM_D510.name: "d510"}
-        cells = []
-        for workload_id, platform in pairs:
-            if (workload_id, platform.name) in self._counters:
-                continue
-            cells.append(SweepCell(
-                workload=workload_id,
-                platform=platform_keys[platform.name],
-                scale=self.scale,
-                seed=self.seed,
-            ))
-        return cells
-
-    def adopt_cells(self, results) -> int:
+    # ---- parallel sweeps ------------------------------------------------
+    def adopt_cells(self, results) -> None:
         """Install completed characterize cells into the counters cache.
 
         ``results`` is a ``cell_id -> CellResult`` mapping whose
         ``counters`` payloads were produced by
-        :func:`repro.exec.cells.characterize_cell`; rehydration is
-        lossless, so a primed context is bit-identical to a serial one.
+        :func:`repro.exec.cells.characterize_cell` in sweep workers;
+        rehydration is lossless, so an adopted sample is bit-identical
+        to one computed here.
         """
-        from repro.exec.cells import platform_for
-
-        adopted = 0
         for result in results.values():
             if result.status != "ok" or not result.counters:
                 continue
             counters = PerfCounters.from_dict(result.counters)
-            platform = platform_for(
-                "e5645" if counters.platform == XEON_E5645.name else "d510"
-            )
-            self._counters[(counters.workload, platform.name)] = counters
-            adopted += 1
-        return adopted
-
-    def prime(
-        self,
-        pairs,
-        *,
-        jobs: int,
-        cell_timeout: float = None,
-        checkpoint=None,
-        resume: bool = False,
-        tracer=None,
-        observer=None,
-    ):
-        """Characterize the given pairs across ``jobs`` worker processes.
-
-        Returns the executor's :class:`~repro.exec.supervisor.SweepOutcome`
-        (telemetry rides into the run record's quarantined ``timings``).
-        Quarantined cells are simply not adopted: the experiment falls
-        back to computing them serially in-process, so a poison cell
-        degrades throughput, never correctness.  ``tracer``/``observer``
-        pass straight through to the executor's observability hooks.
-        """
-        from repro.exec.supervisor import DEFAULT_CELL_TIMEOUT, SweepExecutor
-
-        cells = self.counter_cells(pairs)
-        executor = SweepExecutor(
-            jobs=jobs,
-            cell_timeout=(
-                cell_timeout if cell_timeout else DEFAULT_CELL_TIMEOUT
-            ),
-            tracer=tracer,
-            observer=observer,
-        )
-        outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
-        self.adopt_cells(outcome.results)
-        for name, value in outcome.telemetry.items():
-            self.registry.add(f"exec.{name}", value)
-        return outcome
+            self._counters[(counters.workload, counters.platform)] = counters
 
     # ---- wall-clock accounting ---------------------------------------------
     def time_experiment(self, name: str):

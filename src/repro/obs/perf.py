@@ -566,9 +566,20 @@ class PerfDiff:
         return [v for v in self.verdicts if v.status == REGRESSION]
 
     @property
+    def failures(self) -> List[TargetVerdict]:
+        """Regressions, and budgeted targets whose latest record cannot
+        be compared with the budget (a gate that cannot compare must
+        not pass)."""
+        return [
+            v for v in self.verdicts
+            if v.status == REGRESSION
+            or (v.status == INCOMPARABLE and v.budget)
+        ]
+
+    @property
     def exit_code(self) -> int:
-        """0 when no target's CI separates above its budget, else 1."""
-        return 1 if self.regressions else 0
+        """0 when no verdict fails the gate, else 1."""
+        return 1 if self.failures else 0
 
     def to_dict(self) -> dict:
         return {
@@ -597,8 +608,9 @@ class PerfDiff:
             float_format="{:.4f}",
         )
         summary = (
-            f"\n{len(self.regressions)} regression(s) over "
-            f"{len(self.verdicts)} budgeted target(s) "
+            f"\n{len(self.regressions)} regression(s), "
+            f"{len(self.failures) - len(self.regressions)} incomparable, "
+            f"over {len(self.verdicts)} budgeted target(s) "
             "(regression = candidate CI entirely above budget CI)"
         )
         notes = [
@@ -650,7 +662,7 @@ def perfdiff(
     never fails the gate — budgets are advisory until measured.  A
     record benched at a different scale than its budget is
     ``incomparable``: medians at different scales say nothing about a
-    regression.
+    regression, so the gate fails rather than pass unchecked.
     """
     budgets = manifest["budgets"]
     chosen = targets if targets is not None else sorted(budgets)

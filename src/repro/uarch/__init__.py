@@ -26,7 +26,14 @@ from repro.uarch.profile import (
     CodeRegion,
     DataFootprint,
 )
-from repro.uarch.platforms import ATOM_D510, XEON_E5645, Platform
+from repro.uarch.platforms import (
+    ATOM_D510,
+    PLATFORMS,
+    XEON_E5645,
+    Platform,
+    platform_by_key,
+    platform_key,
+)
 from repro.uarch.counters import PerfCounters, characterize
 from repro.uarch.simulator import CacheSweepSimulator, SweepResult
 
@@ -42,6 +49,9 @@ __all__ = [
     "Platform",
     "XEON_E5645",
     "ATOM_D510",
+    "PLATFORMS",
+    "platform_by_key",
+    "platform_key",
     "PerfCounters",
     "characterize",
     "CacheSweepSimulator",

@@ -15,8 +15,9 @@ Two platforms are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
+from repro.errors import InvalidParameterError
 from repro.uarch.branch import HybridPredictor, Predictor, SimplePredictor
 from repro.uarch.cache import CacheConfig, CacheHierarchy
 from repro.uarch.tlb import Tlb, TlbConfig
@@ -133,3 +134,23 @@ ATOM_D510 = Platform(
     stall_hiding=(0.15, 0.10, 0.05),
     peak_gflops=6.6,
 )
+
+
+#: Short keys naming the platforms in ``--platform``/``--platforms`` and
+#: in sweep cells.  The only place a key is spelled.
+PLATFORMS: Dict[str, Platform] = {"e5645": XEON_E5645, "d510": ATOM_D510}
+
+
+def platform_by_key(key: str) -> Platform:
+    """The platform a short key names."""
+    try:
+        return PLATFORMS[key]
+    except KeyError:
+        raise InvalidParameterError(
+            f"unknown platform {key!r}; choose from {', '.join(PLATFORMS)}"
+        ) from None
+
+
+def platform_key(platform: Platform) -> str:
+    """The short key of one of the :data:`PLATFORMS`."""
+    return {known.name: key for key, known in PLATFORMS.items()}[platform.name]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 from repro.cli import main
 from repro.obs.registry import RunRegistry
@@ -54,6 +55,61 @@ class TestSweepVerb:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "sweep"
         assert any(k.startswith("H-Grep.e5645.") for k in payload["metrics"])
+
+    def test_pooled_sweep_kills_a_hung_cell_without_cell_timeout(
+            self, tmp_path, monkeypatch):
+        """No --cell-timeout: a pooled sweep's hung cell is still killed.
+
+        The default deadline is shortened to 5 s and the one cell's
+        first attempt sleeps 12 s; the supervisor must kill it and run
+        it again.  Pooled sweeps only: the serial path (``--jobs 1``)
+        has no per-cell deadline yet.
+        """
+        from repro.exec import cells, supervisor
+
+        characterize = cells.characterize_cell
+        marker = str(tmp_path / "hung-once")
+
+        def hang_once(spec):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return characterize(spec)
+            time.sleep(12.0)
+            return characterize(spec)
+
+        # Workers are forked, so they resolve the patched cell function.
+        monkeypatch.setattr(cells, "characterize_cell", hang_once)
+        monkeypatch.setattr(supervisor, "DEFAULT_CELL_TIMEOUT", 5.0)
+        runs = str(tmp_path / "runs")
+        assert main(["--scale", "0.15", "--runs-dir", runs, "sweep",
+                     "--workloads", "H-Grep", "--jobs", "2"]) == 0
+        record = RunRegistry(runs).latest("sweep")
+        assert record.timings["exec.timeouts"] == 1.0
+        assert record.timings["exec.cells_ok"] == 1.0
+
+
+class TestFigureJobs:
+    def test_fig2_jobs2_matches_jobs1_and_resumes(self, tmp_path):
+        serial_runs = str(tmp_path / "serial")
+        parallel_runs = str(tmp_path / "parallel")
+        fig2 = ["--scale", "0.1", "--runs-dir"]
+        assert main(fig2 + [serial_runs, "fig", "2", "--jobs", "1"]) == 0
+        assert main(fig2 + [parallel_runs, "fig", "2", "--jobs", "2"]) == 0
+        serial = RunRegistry(serial_runs).latest("fig2")
+        parallel = RunRegistry(parallel_runs).latest("fig2")
+        assert (
+            json.dumps(serial.metrics, sort_keys=True)
+            == json.dumps(parallel.metrics, sort_keys=True)
+        )
+        assert parallel.timings["exec.jobs"] == 2.0
+        assert parallel.timings["exec.cells_run"] == 17.0
+
+        assert main(fig2 + [parallel_runs, "fig", "2", "--jobs", "2",
+                            "--resume"]) == 0
+        resumed = RunRegistry(parallel_runs).latest("fig2")
+        assert resumed.timings["exec.cells_run"] == 0.0
+        assert resumed.metrics == parallel.metrics
 
 
 class TestTypedExitCodes:

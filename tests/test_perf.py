@@ -243,7 +243,8 @@ class TestPerfGate:
         manifest["budgets"]["toy"]["scale"] = 0.9
         result = perfdiff(registry, manifest, budgets_path=budgets)
         assert [v.status for v in result.verdicts] == ["incomparable"]
-        assert result.exit_code == 0
+        # A budgeted target the gate cannot compare fails it.
+        assert result.exit_code == 1
 
     def test_manifest_validation(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -355,3 +356,24 @@ class TestBenchCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "::warning" in out
+
+    def test_perfdiff_warn_only_names_incomparable_targets(
+        self, tmp_path, capsys
+    ):
+        registry = bench_into(tmp_path)
+        budgets = str(tmp_path / "budgets.json")
+        update_budgets(registry, budgets, targets=["toy"])
+        manifest = load_budgets(budgets)
+        manifest["budgets"]["toy"]["scale"] = 0.9
+        with open(budgets, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        runs = str(tmp_path / "runs")
+        assert main([
+            "--runs-dir", runs, "perfdiff", "--budgets", budgets,
+        ]) == 1
+        assert main([
+            "--runs-dir", runs, "perfdiff", "--budgets", budgets,
+            "--warn-only",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "::warning title=perf incomparable (toy)::" in out
